@@ -136,6 +136,7 @@ class DetectorGraph:
 
         self._dist: Optional[np.ndarray] = None
         self._parity: Optional[np.ndarray] = None
+        self._lists: Optional[Tuple[list, list]] = None
 
     # ------------------------------------------------------------------
     # Reweighting (burst-adaptive decoding)
@@ -166,6 +167,7 @@ class DetectorGraph:
             g.edges.append(e if w == e.weight else replace(e, weight=w))
         g._dist = None
         g._parity = None
+        g._lists = None
         return g
 
     @property
@@ -280,6 +282,15 @@ class DetectorGraph:
         if self._parity is None:
             self._build_paths()
         return self._parity
+
+    @property
+    def path_lists(self) -> Tuple[List[List[float]], List[List[int]]]:
+        """``(distances, parities)`` as nested Python lists, built once
+        per graph: the matcher's per-pattern lookups index these, as a
+        list index costs a fraction of a numpy scalar read."""
+        if self._lists is None:
+            self._lists = (self.distances.tolist(), self.parities.tolist())
+        return self._lists
 
     def distance_between(self, u: int, v: int = BOUNDARY) -> float:
         col = self.num_nodes if v == BOUNDARY else v

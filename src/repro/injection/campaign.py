@@ -76,6 +76,9 @@ _OBS_BLOCKS = obs.counter("engine.blocks")
 _OBS_CHUNKS = obs.counter("engine.chunks")
 _OBS_DECISIONS = obs.counter("engine.decisions")
 _OBS_EARLY_STOPS = obs.counter("engine.early_stops")
+#: Backend each resolved task context runs on (once per context).
+_OBS_BACKEND_FRAMES = obs.counter("engine.backend.frames")
+_OBS_BACKEND_TABLEAU = obs.counter("engine.backend.tableau")
 
 
 @lru_cache(maxsize=256)
@@ -171,11 +174,21 @@ def _frame_program(task: InjectionTask, experiment: MemoryExperiment,
         with obs.span("compile"):
             program = compile_frame_program(
                 experiment.circuit, noise, rng=frame_ref_seed(task.seed))
-    except FrameLoweringError:
+    except FrameLoweringError as exc:
         if task.backend == "frames":
             raise
+        obs.event("engine.backend_fallback",
+                  f"{task.label}: no frame lowering ({exc}); running on "
+                  f"the tableau backend", task=task.label, error=str(exc))
         return None
     if task.backend == "auto" and not program.exact_noise:
+        obs.event("engine.backend_fallback",
+                  f"{task.label}: {program.twirled_reset_sites} of "
+                  f"{program.exact_reset_sites + program.twirled_reset_sites}"
+                  f" reset-fault sites are Z-indefinite (twirl only); "
+                  f"running on the tableau backend", task=task.label,
+                  exact_reset_sites=program.exact_reset_sites,
+                  twirled_reset_sites=program.twirled_reset_sites)
         return None
     return program
 
@@ -226,6 +239,7 @@ def _task_context(task: InjectionTask):
         task.decoder, task.readout)
     noise = _build_noise(task, experiment)
     program = _frame_program(task, experiment, noise)
+    (_OBS_BACKEND_TABLEAU if program is None else _OBS_BACKEND_FRAMES).inc()
     sampler = task.sampler
     tilted = None
     if sampler.kind == "split" and program is None:

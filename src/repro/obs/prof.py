@@ -25,9 +25,13 @@ shots are bit-identical with profiling on or off, property-tested):
 Cost contract, like the registry's: **zero when off** — hot call sites
 do one ``None`` check against :data:`_ACTIVE` — and < 2% on the d=5
 frames hot path when on (gated in ``benchmarks/bench_prof.py``).  The
-profiler is process-local and parent-side: :func:`repro.obs.reset`
-(the worker-process entry) disables it, so ``repro perf record`` on a
-``-j N`` campaign attributes the dispatching process only.
+profiler is process-local: :func:`repro.obs.reset` (the worker-process
+entry) disables the inherited one, and a scheduler worker whose parent
+is profiling enables a fresh one.  Each worker's cumulative snapshot
+rides its chunk messages; the parent banks it per worker
+(:meth:`Profiler.absorb`) and its :meth:`Profiler.snapshot` sums them
+in, so ``repro perf record`` on a ``-j N`` campaign reports every
+process.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .metrics import registry
+from .metrics import merge_profiles, registry
 
 #: Opcode-indexed kernel tables are sized for every current opcode
 #: plus headroom.
@@ -80,6 +84,8 @@ class Profiler:
         self._stages: Dict[Tuple[Tuple[str, ...], str], List] = {}
         # span path tuple -> [total_s, count]
         self._paths: Dict[Tuple[str, ...], List] = {}
+        # Worker key -> that worker's latest cumulative snapshot.
+        self._workers: Dict[object, Dict[str, object]] = {}
         self._block_ctr = 0
         self._cur_blk: Optional[List] = None
         self._cur_sampled = False
@@ -120,10 +126,16 @@ class Profiler:
             blk[3] += 1
         self._cur_blk = None
 
-    def stage(self, name: str, dt: float, calls: int = 1) -> None:
+    def stage(self, name: str, dt: float, calls: int = 1,
+              under: Optional[str] = None) -> None:
         """Attribute ``dt`` seconds to sub-phase ``name`` under the
-        current span path (per batch, not per op — cheap)."""
-        key = (tuple(registry()._stack), name)
+        current span path (per batch, not per op — cheap).  ``under``
+        nests it below a sibling stage of that path, whose self-time
+        then excludes it (the matcher's DP/blossom split)."""
+        prefix = tuple(registry()._stack)
+        if under is not None:
+            prefix += (under,)
+        key = (prefix, name)
         row = self._stages.get(key)
         if row is None:
             row = self._stages[key] = [0.0, 0]
@@ -137,8 +149,24 @@ class Profiler:
         row[0] += dt
         row[1] += 1
 
+    def absorb(self, key: object, snap: Dict[str, object]) -> None:
+        """Bank worker ``key``'s cumulative profile snapshot
+        (replacement merge: the latest subsumes all earlier ones, so a
+        lost or reordered message never double-counts)."""
+        self._workers[key] = snap
+
     # -- reporting -----------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
+        """This process's profile (:meth:`_local_snapshot`) with every
+        absorbed worker profile summed in."""
+        snap = self._local_snapshot()
+        if not self._workers:
+            return snap
+        merged = merge_profiles([snap] + list(self._workers.values()))
+        merged["enabled_s"] = snap["enabled_s"]
+        return merged
+
+    def _local_snapshot(self) -> Dict[str, object]:
         """JSON-serializable profile: aggregated ``kernels`` and
         ``stages`` plus the ``paths`` tree with per-path self-time.
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import glob
 import heapq
+import itertools
 import multiprocessing as mp
 import os
 import queue
@@ -48,6 +49,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .. import obs
+from ..obs import prof
 from ..injection.adaptive import AdaptivePolicy
 from ..injection.campaign import _normalize_chunk
 from ..injection.results import SIM_BLOCK, ChunkResult, InjectionResult
@@ -88,6 +90,11 @@ _OBS_LEASE_RUN = obs.registry().histogram(
     "scheduler.lease_run_s",
     (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
      60.0, 120.0))
+
+
+#: Distinguishes the workers of successive scheduler runs in the
+#: parent profiler's per-worker profile table.
+_RUN_IDS = itertools.count()
 
 
 def lease_run_size(pending: int, alive: int, chunk_shots: int,
@@ -199,6 +206,10 @@ class WorkStealingScheduler:
         workers: Dict[int, Tuple[object, object]] = {}  # wid -> (proc, inbox)
         tasks = [plan.task for plan in plans]
         store_path = self.store.path if self.store is not None else None
+        # A profiling parent has its workers profile too; their
+        # cumulative snapshots are folded into its report.
+        profiler = prof.active()
+        run_id = next(_RUN_IDS)
         # Graceful shutdown: a SIGTERM (service stop, batch-system
         # preemption) becomes a KeyboardInterrupt so it unwinds through
         # the same finally as Ctrl+C — workers drained, shards absorbed
@@ -218,7 +229,8 @@ class WorkStealingScheduler:
                 inbox = ctx.Queue()
                 proc = ctx.Process(
                     target=worker_main,
-                    args=(wid, tasks, store_path, inbox, results_q),
+                    args=(wid, tasks, store_path, inbox, results_q,
+                          profiler is not None),
                     daemon=True)
                 try:
                     proc.start()
@@ -259,7 +271,10 @@ class WorkStealingScheduler:
                     continue
                 kind = message[0]
                 if kind == "chunk":
-                    _, wid, task_index, row, metrics_snap = message
+                    _, wid, task_index, row, metrics_snap, prof_snap = \
+                        message
+                    if prof_snap is not None:
+                        profiler.absorb((run_id, wid), prof_snap)
                     self._on_chunk(wid, task_index,
                                    ChunkResult.from_row(row),
                                    metrics_snap)

@@ -26,6 +26,7 @@ import traceback
 from typing import Dict, List, Optional
 
 from .. import obs
+from ..obs import prof
 from ..injection.campaign import iter_task_chunks
 from ..injection.results import ChunkResult
 from ..injection.spec import InjectionTask
@@ -64,24 +65,31 @@ def _maybe_crash(worker_id: int, completed: int) -> None:
 
 
 def worker_main(worker_id: int, tasks: List[InjectionTask],
-                store_path: Optional[str], inbox, results) -> None:
+                store_path: Optional[str], inbox, results,
+                profile: bool = False) -> None:
     """Process entry point: drain leases until told to exit.
 
     Messages in: ``("chunk", task_index, start, shots)`` /
     ``("exit",)``.  Messages out: ``("chunk", worker_id, task_index,
-    row, metrics_snapshot)`` / ``("error", worker_id, task_index,
-    start, shots, traceback)``.  Failures are reported, not raised — a
-    task that cannot execute must surface in the scheduler as a
-    campaign error, not as a silent worker death that looks
-    requeue-able.
+    row, metrics_snapshot, profile_snapshot)`` / ``("error",
+    worker_id, task_index, start, shots, traceback)``.  Failures are
+    reported, not raised — a task that cannot execute must surface in
+    the scheduler as a campaign error, not as a silent worker death
+    that looks requeue-able.
 
     The metrics snapshot riding every chunk message is the worker's
     *cumulative* registry state (zeroed at worker start, so fork
     inheritance never leaks parent counts): the scheduler merges per
     worker by replacement, making the transport idempotent — a lost or
-    reordered message can never double-count.
+    reordered message can never double-count.  ``profile`` (the
+    parent is profiling) re-enables a fresh profiler after the reset;
+    its cumulative snapshot rides along the same way (``None`` when
+    off), and the parent folds it in with :func:`~repro.obs.metrics.
+    merge_profiles`.
     """
     obs.reset()
+    if profile:
+        prof.enable()
     shard: Optional[CampaignStore] = None
     if store_path is not None:
         shard = CampaignStore(shard_path(store_path, worker_id))
@@ -105,7 +113,7 @@ def worker_main(worker_id: int, tasks: List[InjectionTask],
                     keys[task_index] = task_key(task)
                 shard.append_chunk(keys[task_index], chunk)
             results.put(("chunk", worker_id, task_index, chunk.to_row(),
-                         obs.registry().snapshot()))
+                         obs.registry().snapshot(), prof.snapshot_active()))
             completed += 1
             _maybe_crash(worker_id, completed)
     finally:

@@ -6,9 +6,12 @@ engine's bit-identity contract with instrumentation live, and the
 import json
 import signal
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.codes import XXZZCode
+from repro.decoders import DetectorGraph, MWPMDecoder
 from repro.injection import (
     AdaptivePolicy,
     Campaign,
@@ -16,6 +19,8 @@ from repro.injection import (
     InjectionTask,
     build_sweep,
 )
+from repro.injection.campaign import _task_context
+from repro.injection.spec import FaultSpec
 from repro.obs.report import render_report
 from repro.parallel.worker import CRASH_AFTER_ENV, CRASH_WORKER_ENV
 
@@ -282,6 +287,46 @@ class TestSession:
             assert snap["spans"][phase]["count"] > 0
         assert snap["workers"]
         assert snap["progress"]["points_done"] == 4
+
+
+class TestBackendAndMatcherMetrics:
+    def test_backend_counters_and_fallback_event(self):
+        _task_context.cache_clear()
+        code = CodeSpec("xxzz", (3, 3))
+        clean = InjectionTask(code=code, intrinsic_p=0.01, rounds=3,
+                              shots=512, seed=3)
+        strike = InjectionTask(
+            code=code, intrinsic_p=0.01, rounds=6, shots=512, seed=3,
+            fault=FaultSpec(kind="radiation", root_qubit=4,
+                            strike_round=2, intensity=0.5))
+        _task_context(clean)
+        _task_context(strike)
+        _task_context(strike)  # cached: no second resolution
+        counters = obs.registry().snapshot()["counters"]
+        assert counters["engine.backend.frames"] == 1
+        assert counters["engine.backend.tableau"] == 1
+        events = [e for e in obs.registry().recent_events
+                  if e["kind"] == "engine.backend_fallback"]
+        assert len(events) == 1
+        ev = events[0]
+        assert ev["task"] == strike.label
+        assert ev["twirled_reset_sites"] > 0
+        assert ev["exact_reset_sites"] >= 0
+
+    def test_matcher_counters_and_event_histogram(self):
+        graph = DetectorGraph(XXZZCode(5, 5), 10)
+        dec = MWPMDecoder(graph)
+        for k in (0, 1, 4, 16, 17, 20):
+            bits = np.zeros(graph.num_nodes, dtype=np.uint8)
+            bits[::graph.num_nodes // max(k, 1)][:k] = 1
+            assert int(bits.sum()) == k
+            dec._decode_pattern(bits)
+        snap = obs.registry().snapshot()
+        assert snap["counters"]["decode.matcher.dp"] == 3
+        assert snap["counters"]["decode.matcher.blossom"] == 2
+        hist = snap["histograms"]["decode.events"]
+        assert hist["total"] == 5
+        assert hist["sum"] == 1 + 4 + 16 + 17 + 20
 
 
 @pytest.mark.parametrize("backend", ["frames", "tableau"])

@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.obs import bench, prof
+from repro.injection.campaign import _prepared, _task_context
 from repro.injection import (
     AdaptivePolicy,
     Campaign,
@@ -42,6 +43,13 @@ def d3_sweep(backend, shots=1536):
 FRAMES_TASK = InjectionTask(code=CodeSpec("xxzz", (3, 3)),
                             intrinsic_p=5e-4, rounds=3, decoder="mwpm",
                             backend="frames", shots=512, seed=7)
+
+
+def fresh_decoders():
+    """Drop the per-process task caches, so the next run's decoders
+    start with empty decode caches and reach the matcher."""
+    _prepared.cache_clear()
+    _task_context.cache_clear()
 
 
 class TestProfiler:
@@ -131,6 +139,35 @@ class TestProfiler:
         cx = merged["profile"]["kernels"]["cx.fused"]
         assert cx["calls"] == 2 * snap["kernels"]["cx.fused"]["calls"]
 
+    def test_absorbed_worker_profiles_merge_by_replacement(self):
+        fresh_decoders()
+        with prof.profile() as p:
+            run_task(FRAMES_TASK)
+        local = p.snapshot()
+        calls = local["kernels"]["cx.fused"]["calls"]
+        p.absorb(("run", 0), local)
+        p.absorb(("run", 1), local)
+        # A later cumulative snapshot from the same worker replaces,
+        # never adds to, its earlier one.
+        p.absorb(("run", 1), local)
+        merged = p.snapshot()
+        assert merged["kernels"]["cx.fused"]["calls"] == 3 * calls
+        assert merged["stages"]["decode.matcher"]["calls"] \
+            == 3 * local["stages"]["decode.matcher"]["calls"]
+        assert "enabled_s" in merged
+
+    def test_matcher_split_nests_below_the_matcher_stage(self):
+        fresh_decoders()
+        with prof.profile() as p:
+            run_task(FRAMES_TASK)
+        snap = p.snapshot()
+        counters = obs.registry().snapshot()["counters"]
+        dp = snap["stages"]["decode.matcher.dp"]
+        assert dp["calls"] == counters["decode.matcher.dp"] > 0
+        assert "decode/decode.matcher/decode.matcher.dp" in snap["paths"]
+        text = prof.render_profile(snap)
+        assert "decode.matcher.dp" in text
+
     def test_render_profile_text(self):
         with prof.profile() as p:
             run_task(FRAMES_TASK)
@@ -168,16 +205,24 @@ class TestBitIdentity:
         assert profiled.counts() == baseline.counts()
 
     def test_parallel_counts_identical(self, backend):
-        """Workers fork with the profiler enabled in the parent; the
-        worker entry (obs.reset) drops it, and counts still match the
-        serial run exactly."""
+        """Workers fork with the profiler enabled in the parent and
+        profile on their own (a fresh profiler after obs.reset); counts
+        still match the serial run exactly, and the parent's report
+        holds the workers' attribution."""
         campaign = d3_sweep(backend)
         baseline = Campaign(campaign.tasks, root_seed=29).run(
             max_workers=1)
-        with prof.profile():
+        with prof.profile() as p:
             profiled = Campaign(campaign.tasks, root_seed=29).run(
                 workers=2)
         assert profiled.counts() == baseline.counts()
+        # Every block's sample span is reported exactly once, whichever
+        # process ran it.
+        blocks = sum(-(-t.shots // 512) for t in campaign.tasks)
+        snap = p.snapshot()
+        assert snap["paths"]["sample"]["count"] == blocks
+        if backend == "frames":
+            assert snap["kernels"]
 
 
 class TestTelemetryIntegration:

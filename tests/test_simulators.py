@@ -162,6 +162,89 @@ class TestBatchMaskedOps:
         np.testing.assert_array_equal(bs.measure(1), [1, 0, 0, 1])
 
 
+class TestBatchMaskedVsSingle:
+    """Masked measure/reset on the batch tableau agree, shot by shot and
+    row by row, with the single-state :class:`Tableau` on random
+    Clifford circuits."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_masked_trajectories_identical(self, seed):
+        n, B = 6, 16
+        rng = np.random.default_rng(seed)
+        circuit = random_clifford_circuit(n, 150, rng=seed,
+                                          measure_prob=0.12, reset_prob=0.1)
+        bs = BatchTableauSimulator(n, B, rng=seed + 100)
+        singles = [TableauSimulator(n, rng=0) for _ in range(B)]
+        for gate in circuit:
+            mask = rng.random(B) < 0.6
+            a = gate.qubits[0]
+            if gate.gate_type is GateType.MEASURE:
+                out = bs.measure(a, mask)
+                for shot in np.nonzero(mask)[0]:
+                    got = singles[shot].tableau.measure(
+                        a, singles[shot].rng, forced_outcome=int(out[shot]))
+                    assert got == out[shot]
+                assert not out[~mask].any()
+            elif gate.gate_type is GateType.RESET:
+                bs.reset(a, mask)
+                for shot in np.nonzero(mask)[0]:
+                    # The batch drew the outcome; the reset state must
+                    # equal the single-state reset for one of the two.
+                    want = bs.shot_tableau(shot)
+                    matches = []
+                    for forced in (0, 1):
+                        t = singles[shot].tableau.copy()
+                        if t.measure(a, singles[shot].rng,
+                                     forced_outcome=forced):
+                            t.x_gate(a)
+                        matches.append(t)
+                    hit = [t for t in matches
+                           if np.array_equal(t.x, want.x)
+                           and np.array_equal(t.z, want.z)
+                           and np.array_equal(t.r, want.r)]
+                    assert hit
+                    singles[shot].tableau = hit[0]
+            else:
+                bs.apply(gate, mask=mask)
+                for shot in np.nonzero(mask)[0]:
+                    singles[shot].apply(gate)
+            for shot in range(B):
+                want = singles[shot].tableau
+                got = bs.shot_tableau(shot)
+                assert np.array_equal(want.x, got.x)
+                assert np.array_equal(want.z, got.z)
+                assert np.array_equal(want.r, got.r)
+
+
+class TestPinnedTableauDigest:
+    #: sha1 of the record block below, from the (B, 2n, n) shot-major
+    #: tableau with dense rowsums.  Layout and kernel changes must keep
+    #: it: same states, same RNG calls in the same order and size.
+    STRIKE_D5_SHA1 = "d69cf30fc5ae8cecad687c1017dd1c928b81c9d1"
+
+    def test_strike_d5_block_digest(self):
+        import hashlib
+
+        from repro.injection.campaign import _task_context
+        from repro.injection.spec import CodeSpec, FaultSpec, InjectionTask
+        from repro.noise import run_batch_noisy
+
+        code = CodeSpec("xxzz", (5, 5))
+        fault = FaultSpec(kind="radiation",
+                          root_qubit=code.build().lattice.data_index(2, 2),
+                          strike_round=4, intensity=0.5)
+        task = InjectionTask(code=code, fault=fault, rounds=10,
+                             intrinsic_p=0.005, decoder="mwpm",
+                             backend="auto", shots=512, seed=7202)
+        experiment, _, noise, _, _, _ = _task_context(task)
+        records = run_batch_noisy(experiment.circuit, noise, 512,
+                                  rng=np.random.default_rng(2024),
+                                  backend="tableau")
+        assert records.shape == (512, 266)
+        digest = hashlib.sha1(np.ascontiguousarray(records).tobytes())
+        assert digest.hexdigest() == self.STRIKE_D5_SHA1
+
+
 class TestRunShot:
     def test_run_shot_convenience(self):
         c = Circuit(1).x(0).measure(0, 0)
