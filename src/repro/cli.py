@@ -258,7 +258,14 @@ def cmd_campaign(args) -> None:
         spec = json.load(fh)
     if args.shots is not None:
         spec["shots"] = args.shots
-    campaign = build_sweep(spec)
+    try:
+        campaign = build_sweep(spec)
+        campaign.validate()
+    except ValueError as exc:
+        # A spec error: one line and the usage-error status, not a
+        # traceback from deep inside the engine.
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
     policy = _policy(args)
     sampler = _sampler_override(args)
     decoder = _decoder_override(args)

@@ -602,6 +602,28 @@ class Campaign:
     def __len__(self) -> int:
         return len(self.tasks)
 
+    def validate(self) -> None:
+        """Build each distinct task's code and noise model up front.
+
+        A bad spec (an even xxzz distance, ``intrinsic_p`` outside
+        [0, 1], a strike after the last round) then raises
+        ``ValueError`` here, before any point runs, instead of from a
+        worker mid-campaign.  Experiments come from the engine's own
+        cached builder, so a run in this process reuses them.
+        """
+        seen = set()
+        for t in self.tasks:
+            key = (t.code, t.rounds, t.basis, t.arch, t.fault,
+                   t.intrinsic_p)
+            if key in seen:
+                continue
+            seen.add(key)
+            try:
+                _build_noise(t, build_experiment(t.code, t.rounds,
+                                                 t.basis))
+            except ValueError as exc:
+                raise ValueError(f"{t.label}: {exc}") from exc
+
     def _seeded(self, backend: Optional[str] = None,
                 recovery: Optional[str] = None,
                 sampler: Union[SamplerSpec, str, None] = None,

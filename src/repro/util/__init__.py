@@ -1,8 +1,7 @@
-"""Shared utilities: RNG spawning, parallel map, timing."""
+"""Shared utilities: RNG spawning, parallel map."""
 
 from .parallel import default_workers, parallel_map
 from .rng import as_generator, spawn_seeds, task_seed
-from .timing import Stopwatch, timed
 
 __all__ = [
     "parallel_map",
@@ -10,6 +9,4 @@ __all__ = [
     "as_generator",
     "spawn_seeds",
     "task_seed",
-    "Stopwatch",
-    "timed",
 ]

@@ -109,6 +109,30 @@ class TestCampaignCommand:
                      "--shots", "512"]) == 0
         assert "512 shots" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"shotz": 64}, "unknown sweep spec key: 'shotz'"),
+        ({"p_values": [1.5]}, "p must be a probability, got 1.5"),
+        ({"codes": [["xxzz", [4, 4]]]}, "distances must be odd"),
+        ({"codes": [["xxzz", [3, 3]]], "rounds": 2,
+          "faults": [{"kind": "radiation", "root_qubit": 0,
+                      "strike_round": 5}]},
+         "strike_round 5 outside the 2-round experiment"),
+    ], ids=["unknown-key", "p-range", "even-xxzz", "strike-round"])
+    def test_spec_error_is_one_line(self, capsys, tmp_path, extra,
+                                    message):
+        """A bad spec fails before any point runs: one ``error:`` line
+        on stderr and exit status 2, no traceback."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**self.SPEC, **extra}))
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", str(path), "--workers", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and message in lines[0]
+
     def test_missing_spec_fails(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["campaign", str(tmp_path / "nope.json")])

@@ -1,12 +1,13 @@
-"""Tests for shared utilities (RNG spawning, parallel map, timing)."""
+"""Tests for shared utilities (RNG spawning, parallel map) and the
+:class:`repro.obs.Stopwatch` section timer."""
 
 import os
 
 import numpy as np
 import pytest
 
+from repro.obs import Stopwatch
 from repro.util import (
-    Stopwatch,
     as_generator,
     default_workers,
     parallel_map,
@@ -120,30 +121,3 @@ class TestStopwatch:
         with sw.section("x"):
             pass
         assert "x" in sw.report()
-
-
-class TestTimedShim:
-    def test_timed_deprecated_no_stdout(self, capsys, caplog):
-        import logging
-
-        from repro.util import timed
-
-        with caplog.at_level(logging.INFO, logger="repro.timing"):
-            with pytest.deprecated_call():
-                with timed("shim-check"):
-                    pass
-        assert capsys.readouterr().out == ""
-        assert any("shim-check" in rec.getMessage()
-                   for rec in caplog.records)
-
-    def test_timed_records_span(self):
-        from repro import obs
-        from repro.util import timed
-
-        before = obs.registry().snapshot()["spans"].get(
-            "shim-span", {"count": 0})["count"]
-        with pytest.deprecated_call():
-            with timed("shim-span"):
-                pass
-        after = obs.registry().snapshot()["spans"]["shim-span"]["count"]
-        assert after == before + 1
