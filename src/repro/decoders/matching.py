@@ -4,18 +4,24 @@ Flagged detectors are matched pairwise (or to the boundary) so that the
 total shortest-path weight is minimal; the correction applied to the raw
 readout is the XOR of the logical parities along the matched paths.
 
-Two exact matching engines:
+Three exact matching engines:
 
 * a bitmask dynamic program for up to :data:`_DP_LIMIT` events (covers
-  virtually every shot of the paper's codes), and
-* NetworkX ``max_weight_matching`` on the negated-weight event graph
-  with per-event boundary copies, used for larger event sets.
+  virtually every shot of the paper's codes);
+* above that, a native blossom kernel (``_blossom.c``, loaded by
+  :mod:`.native`): a C port of NetworkX ``max_weight_matching`` run on
+  the negated-weight event graph with per-event boundary copies that
+  :func:`_nx_graph` builds;
+* NetworkX ``max_weight_matching`` itself on that graph
+  (:func:`_nx_match`) — the test reference, and the path taken when no
+  C compiler is present (reported once per process as a
+  ``decode.matcher.native_unavailable`` event).
 
 The DP is exponential in the event count.  On the d=5, 10-round
 strike workload's patterns, unpruned, it cost ~49 ms per pattern at 16
-events and ~5 ms at 12, while blossom costs ~8 ms at 17 (one core of
-an Intel Xeon host).  So the DP drops every pair that can never win:
-events ``i`` and ``j`` are only paired when
+events and ~5 ms at 12 (one core of an Intel Xeon host).  So the DP
+drops every pair that can never win: events ``i`` and ``j`` are only
+paired when
 
     d(i, j) <= d_b(i) + d_b(j) + 2 * _BOUNDARY_BIAS + _PRUNE_SLACK,
 
@@ -30,10 +36,21 @@ cached Python-list tables (:attr:`DetectorGraph.path_lists`), so small
 patterns pay no numpy set-up per call.  Pruned, the same patterns cost
 ~1.6 ms at 16 events and ~0.3 ms at 12.
 
-Patterns above :data:`_DP_LIMIT` events keep the dense blossom graph.
-A sparse event graph is faster, but blossom's tie-breaks depend on the
-graph: a sparse prototype decoded 11 of 96 strike patterns with 17–20
-events to a different parity, which would change stored results.
+Above the DP limit the engine must return *networkx's* matching, not
+just a minimum-weight one.  Strike patterns are tie-heavy: two
+minimum-cost matchings can differ in parity, and blossom's choice
+between them depends on the graph and on every iteration order (a
+sparse event graph decoded 11 of 96 strike patterns with 17–20 events
+to a different parity).  Any other matcher would change stored
+results.  So the kernel mirrors networkx step for step: the same
+graph, node and adjacency insertion orders, dict iteration orders
+(vertices, then live blossoms in creation order), LIFO queue, and the
+same float operations in the same order, built without contraction or
+fast-math.  It returns the same matching set as networkx, pair
+orientation included (tested with hypothesis on unit, erased, graded
+and hook-edge graphs, and pinned on a strike block).  On the strike's
+patterns networkx costs ~11 ms at 17–20 events and ~18 ms at 21–24;
+the kernel ~0.07 ms and ~0.10 ms.
 
 Identical syndromes decode identically, so shots are deduplicated
 before matching — a large win at low fault intensity.
@@ -41,15 +58,17 @@ before matching — a large win at low fault intensity.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
 from .. import obs
 from ..obs import prof as _prof
+from . import native
 from .base import Decoder
 from .detector_graph import DetectorGraph
 
@@ -74,6 +93,9 @@ _OBS_BLOSSOM = obs.counter("decode.matcher.blossom")
 _OBS_EVENTS = obs.registry().histogram("decode.events", _EVENT_BOUNDS)
 
 _INF = float("inf")
+
+#: pid that last reported a missing native kernel (one event a process).
+_REPORTED_PID = None
 
 
 def _dp_match(events: Tuple[int, ...], dist: Sequence, parity: Sequence,
@@ -132,10 +154,12 @@ def _dp_match(events: Tuple[int, ...], dist: Sequence, parity: Sequence,
     return solve((1 << k) - 1)
 
 
-def _nx_match(events: Tuple[int, ...], dist: Sequence, parity: Sequence,
-              bcol: int) -> Tuple[float, int]:
-    """Exact min-weight matching via NetworkX blossom on negated weights
-    (dense event graph; tables indexed ``[u][v]`` as in :func:`_dp_match`)."""
+def _nx_graph(events: Tuple[int, ...], dist: Sequence, bcol: int
+              ) -> nx.Graph:
+    """The dense blossom graph of a pattern: event ``i`` is node
+    ``("e", i)``, its boundary copy ``("b", i)``; weights are negated
+    distances.  Its insertion order is part of the contract the native
+    kernel reproduces (``_blossom.c``)."""
     k = len(events)
     g = nx.Graph()
     for i in range(k):
@@ -149,7 +173,15 @@ def _nx_match(events: Tuple[int, ...], dist: Sequence, parity: Sequence,
             if d < _INF:
                 g.add_edge(("e", i), ("e", j), weight=-float(d))
             g.add_edge(("b", i), ("b", j), weight=0.0)
-    matching = nx.max_weight_matching(g, maxcardinality=True)
+    return g
+
+
+def _nx_match(events: Tuple[int, ...], dist: Sequence, parity: Sequence,
+              bcol: int) -> Tuple[float, int]:
+    """Exact min-weight matching via NetworkX blossom on negated weights
+    (dense event graph; tables indexed ``[u][v]`` as in :func:`_dp_match`)."""
+    matching = nx.max_weight_matching(_nx_graph(events, dist, bcol),
+                                      maxcardinality=True)
     total = 0.0
     corr = 0
     for a, b in matching:
@@ -162,6 +194,47 @@ def _nx_match(events: Tuple[int, ...], dist: Sequence, parity: Sequence,
         total += float(dist[u][v])
         corr ^= int(parity[u][v])
     return total, corr
+
+
+def _native_match(kernel, events: Tuple[int, ...], dist: np.ndarray,
+                  parity: np.ndarray, bcol: int,
+                  pairs: Optional[np.ndarray] = None) -> int:
+    """Correction parity from the native blossom kernel, which matches
+    exactly the graph :func:`_nx_graph` builds, with networkx's own
+    algorithm and orders (``_blossom.c``).  ``dist``/``parity`` are the
+    graph's C-contiguous float64 / uint8 tables.  ``pairs`` (int32,
+    ``2k``) receives the matched pairs as networkx orients them, with
+    vertex ``2i`` for ``("e", i)`` and ``2i + 1`` for ``("b", i)``."""
+    rows, cols = dist.shape
+    if not (dist.dtype == np.float64 and parity.dtype == np.uint8
+            and parity.shape == dist.shape and dist.flags.c_contiguous
+            and parity.flags.c_contiguous and 0 <= bcol < cols
+            and 0 <= min(events) and max(events) < rows
+            and (pairs is None or (pairs.dtype == np.int32
+                                   and pairs.flags.c_contiguous
+                                   and pairs.size >= 2 * len(events)))):
+        raise ValueError("native blossom needs C-contiguous float64/uint8 "
+                         "tables of one shape, in-range events and an "
+                         "int32 pairs buffer of 2k")
+    ev = np.array(events, dtype=np.int64)
+    corr = kernel(len(events), ev.ctypes.data, dist.ctypes.data,
+                  parity.ctypes.data, cols, bcol, _BOUNDARY_BIAS,
+                  None if pairs is None else pairs.ctypes.data)
+    if corr < 0:
+        raise MemoryError("native blossom kernel: out of memory")
+    return corr
+
+
+def _blossom_kernel():
+    """The native kernel, or ``None`` — then, once per process, a
+    ``decode.matcher.native_unavailable`` event carries the reason."""
+    global _REPORTED_PID
+    kernel = native.kernel()
+    if kernel is None and _REPORTED_PID != os.getpid():
+        _REPORTED_PID = os.getpid()
+        obs.event("decode.matcher.native_unavailable",
+                  "blossom falls back to networkx", reason=native.error)
+    return kernel
 
 
 @dataclass
@@ -192,19 +265,26 @@ class MWPMDecoder(Decoder):
         events = tuple(np.flatnonzero(detector_bits).tolist())
         if not events:
             return 0
-        dist, parity = self.graph.path_lists
-        bcol = self.graph.num_nodes
+        graph = self.graph
+        bcol = graph.num_nodes
         k = len(events)
         _OBS_EVENTS.observe(k)
         prof = _prof._ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
         if k <= _DP_LIMIT:
             _OBS_DP.inc()
+            dist, parity = graph.path_lists
             _, corr = _dp_match(events, dist, parity, bcol)
             stage = "dp"
         else:
             _OBS_BLOSSOM.inc()
-            _, corr = _nx_match(events, dist, parity, bcol)
+            kernel = _blossom_kernel()
+            if kernel is not None:
+                corr = _native_match(kernel, events, graph.distances,
+                                     graph.parities, bcol)
+            else:
+                dist, parity = graph.path_lists
+                _, corr = _nx_match(events, dist, parity, bcol)
             stage = "blossom"
         if prof is not None:
             prof.stage(f"decode.matcher.{stage}", perf_counter() - t0,

@@ -309,6 +309,10 @@ class Dispatcher:
         """
         try:
             campaign = build_sweep(spec)
+            # Build each task's code and noise now: a spec that can only
+            # fail in its slices is refused here (HTTP 400), instead of
+            # being accepted and requeued on every failure.
+            campaign.validate()
             tasks = campaign._seeded()
         except (KeyError, TypeError, ValueError) as exc:
             raise DispatchError(f"bad sweep spec: {exc}") from exc

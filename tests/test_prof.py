@@ -225,6 +225,46 @@ class TestBitIdentity:
             assert snap["kernels"]
 
 
+class TestTableauAttribution:
+    """The tableau sample loop splits its time by gate type and noise
+    channel; counts stay bit-identical with the profiler on."""
+
+    @staticmethod
+    def strike_task():
+        from repro.injection.spec import FaultSpec
+
+        code = CodeSpec("xxzz", (3, 3))
+        fault = FaultSpec(kind="radiation",
+                          root_qubit=code.build().lattice.data_index(1, 1),
+                          strike_round=1, intensity=0.5)
+        return InjectionTask(code=code, fault=fault, rounds=3,
+                             intrinsic_p=0.005, decoder="mwpm",
+                             backend="tableau", shots=1024, seed=11)
+
+    def test_counts_identical_and_split_by_gate_and_channel(self):
+        task = self.strike_task()
+        baseline = run_task(task)
+        with prof.profile() as p:
+            profiled = run_task(task)
+        assert (profiled.errors, profiled.raw_errors,
+                profiled.corrections_applied) == (
+            baseline.errors, baseline.raw_errors,
+            baseline.corrections_applied)
+        snap = p.snapshot()
+        stages = snap["stages"]
+        blocks = 2
+        assert stages["sample"]["calls"] == blocks
+        for name in ("tableau.cx", "tableau.measure", "tableau.reset",
+                     "tableau.noise.DepolarizingNoise",
+                     "tableau.noise.RadiationBurst"):
+            assert stages[name]["calls"] > 0
+            assert f"sample/sample/{name}" in snap["paths"]
+        parts = sum(v["total_s"] for k, v in stages.items()
+                    if k.startswith("tableau."))
+        assert parts <= stages["sample"]["total_s"] + 1e-5
+        assert "tableau.noise.RadiationBurst" in prof.render_profile(snap)
+
+
 class TestTelemetryIntegration:
     def test_profile_section_in_telemetry_and_report(self, tmp_path):
         from repro.obs.report import render_report

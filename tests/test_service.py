@@ -204,6 +204,24 @@ class TestDispatcherErrors:
         with pytest.raises(DispatchError):
             d.submit({"codes": [["repetition", [3, 1]]], "pvals": [1]})
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"p_values": [1.5]}, "p must be a probability, got 1.5"),
+        ({"codes": [["xxzz", [4, 4]]]}, "distances must be odd"),
+        ({"codes": [["xxzz", [3, 3]]], "rounds": 2,
+          "faults": [{"kind": "radiation", "root_qubit": 0,
+                      "strike_round": 5}]},
+         "strike_round 5 outside the 2-round experiment"),
+    ], ids=["p-range", "even-xxzz", "strike-round"])
+    def test_invalid_spec_refused_at_submit(self, tmp_path, extra,
+                                            message):
+        """A spec whose slices could only fail is refused up front: no
+        job, no point, nothing to lease."""
+        d = make_dispatcher(tmp_path)
+        with pytest.raises(DispatchError, match=message):
+            d.submit({**SPEC, **extra})
+        assert not d.jobs and not d.points
+        assert d.lease(runner="t", max_leases=8) == []
+
     def test_unknown_job(self, tmp_path):
         d = make_dispatcher(tmp_path)
         with pytest.raises(UnknownJobError):
@@ -277,6 +295,10 @@ class TestHTTPService:
         with pytest.raises(ServiceError) as err:
             client.submit({"codes": []})
         assert err.value.status == 400
+        with pytest.raises(ServiceError) as err:
+            client.submit({**SPEC, "p_values": [1.5]})
+        assert err.value.status == 400
+        assert "p must be a probability" in str(err.value)
 
 
 @pytest.mark.integration
